@@ -4,8 +4,9 @@
    paper reproduction reports) and prints them.
 
    Part 2 (with part 8 folded in) benchmarks the work-stealing trial
-   engine: the full experiment suite sequentially vs. fanned out over
-   the *calibrated* pool (the configuration a flagless user gets — 1
+   engine: the full experiment suite through the one experiment driver
+   ([Experiments.run_supervised], as [tpro all] runs it) on one domain
+   vs. over the *calibrated* supervisor (the configuration a flagless user gets — 1
    domain on a 1-core container, so the headline speedup must sit at
    ~1.0 there), per-table sequential and parallel times, a forced
    -j 1/2/4 scaling curve with steal counts, and the calibration
@@ -23,12 +24,11 @@
    built from.  Results are printed as OLS time-per-run estimates and
    folded into the JSON.
 
-   Part 4 benchmarks the supervision layer: the same E-table sweep
-   through [Experiments.run_supervised] vs. the raw [all_par] fan-out
-   (the price of settling every task as a result), plus the retry path
-   (a [Raise_once] fault on one table's task, so the cost of one
-   recovery is measured directly).  Written to BENCH_supervisor.json;
-   runs in [--smoke] too.
+   Part 4 benchmarks the supervision layer's retry path: E2 through the
+   experiment driver clean vs. with a [Raise_once] fault on its task,
+   so the cost of one recovery is measured directly (every sweep is
+   supervised, so there is no unsupervised fan-out left to compare
+   against).  Written to BENCH_supervisor.json; runs in [--smoke] too.
 
    Part 5 benchmarks the flat-state digest layer: for every resource
    kind an incremental-vs-fold Bechamel pair (the memoised digest the
@@ -119,11 +119,27 @@ let () =
 (* ------------------------------------------------------------------ *)
 (* Part 1: regenerate the tables                                       *)
 
+module Supervisor = Tpro_engine.Supervisor
+
+(* The settled tables of one run of the experiment driver; a lost table
+   aborts the bench. *)
+let sweep_tables ?seeds ?only sup =
+  List.map
+    (fun (id, r) ->
+      match r with
+      | Ok t -> t
+      | Error e ->
+        failwith
+          (Printf.sprintf "experiment %s lost: %s" id
+             (Supervisor.task_error_to_string e)))
+    (Time_protection.Experiments.run_supervised ?seeds ~sup ?only ())
+      .Time_protection.Experiments.tables
+
 let regenerate_tables () =
   Format.printf "=== Experiment tables (paper reproduction) ===@.@.";
   List.iter
     (fun t -> Format.printf "%a@." Time_protection.Table.render t)
-    (Time_protection.Experiments.all ())
+    (Supervisor.with_supervisor ~domains:1 sweep_tables)
 
 (* ------------------------------------------------------------------ *)
 (* Part 2: sequential vs. parallel engine                              *)
@@ -172,38 +188,54 @@ let bench_parallel () =
   let seeds = !seeds in
   let host = Tpro_engine.Calibrate.host () in
   let tables_seq, seq_seconds =
-    time_wall (fun () -> Time_protection.Experiments.all ~seeds ())
+    time_wall (fun () ->
+        Supervisor.with_supervisor ~domains:1 (sweep_tables ~seeds))
   in
-  let pool = Tpro_engine.Pool.create () in
-  let tables_par, par_seconds =
-    time_wall (fun () -> Time_protection.Experiments.all_par ~seeds ~pool ())
+  let pool_stats sup =
+    match Supervisor.pool sup with
+    | Some p -> Tpro_engine.Pool.stats p
+    | None ->
+      {
+        Tpro_engine.Pool.pool_size = 1;
+        spawned_domains = 0;
+        steals = 0;
+        tasks_executed = 0;
+        tasks_injected = 0;
+        minor_heap_words = None;
+      }
   in
-  let per_table =
-    List.filter_map
-      (fun id ->
-        match Time_protection.Experiments.by_id id with
-        | None -> None
-        | Some f ->
-          let _, dseq = time_wall (fun () -> f ~seeds ()) in
-          let _, dpar = time_wall (fun () -> f ~seeds ~pool ()) in
-          Some (id, dseq, dpar))
-      Time_protection.Experiments.ids
+  let tables_par, par_seconds, per_table, stats, chunk_estimates =
+    Supervisor.with_supervisor (fun sup ->
+        let pool = Supervisor.pool sup in
+        let tables, dt = time_wall (fun () -> sweep_tables ~seeds sup) in
+        let per_table =
+          List.filter_map
+            (fun id ->
+              match Time_protection.Experiments.by_id id with
+              | None -> None
+              | Some f ->
+                let _, dseq = time_wall (fun () -> f ~seeds ()) in
+                let _, dpar = time_wall (fun () -> f ~seeds ?pool ()) in
+                Some (id, dseq, dpar))
+            Time_protection.Experiments.ids
+        in
+        ( tables,
+          dt,
+          per_table,
+          pool_stats sup,
+          match pool with
+          | Some p ->
+            Tpro_engine.Cost_model.snapshot (Tpro_engine.Pool.cost_model p)
+          | None -> [] ))
   in
-  let stats = Tpro_engine.Pool.stats pool in
-  let chunk_estimates =
-    Tpro_engine.Cost_model.snapshot (Tpro_engine.Pool.cost_model pool)
-  in
-  Tpro_engine.Pool.shutdown pool;
   let curve =
     List.map
       (fun j ->
-        let p = Tpro_engine.Pool.create ~domains:j () in
-        let tabs, dt =
-          time_wall (fun () ->
-              Time_protection.Experiments.all_par ~seeds ~pool:p ())
+        let tabs, dt, st =
+          Supervisor.with_supervisor ~domains:j (fun sup ->
+              let tabs, dt = time_wall (fun () -> sweep_tables ~seeds sup) in
+              (tabs, dt, pool_stats sup))
         in
-        let st = Tpro_engine.Pool.stats p in
-        Tpro_engine.Pool.shutdown p;
         {
           cp_j = j;
           cp_seconds = dt;
@@ -214,27 +246,25 @@ let bench_parallel () =
         })
       [ 1; 2; 4 ]
   in
-  ( {
-      cores = host.Tpro_engine.Calibrate.cores_detected;
-      domains = host.Tpro_engine.Calibrate.recommended;
-      minor_heap_words = host.Tpro_engine.Calibrate.minor_heap_words;
-      probe_note = host.Tpro_engine.Calibrate.probe_note;
-      bench_seeds = seeds;
-      seq_seconds;
-      par_seconds;
-      speedup = seq_seconds /. par_seconds;
-      identical =
-        tables_seq = tables_par
-        && List.for_all (fun c -> c.cp_identical) curve;
-      per_table_seq = List.map (fun (id, s, _) -> (id, s)) per_table;
-      per_table_par = List.map (fun (id, _, p) -> (id, p)) per_table;
-      curve;
-      steals = stats.Tpro_engine.Pool.steals;
-      executed = stats.Tpro_engine.Pool.tasks_executed;
-      injected = stats.Tpro_engine.Pool.tasks_injected;
-      chunk_estimates;
-    },
-    tables_par )
+  {
+    cores = host.Tpro_engine.Calibrate.cores_detected;
+    domains = host.Tpro_engine.Calibrate.recommended;
+    minor_heap_words = host.Tpro_engine.Calibrate.minor_heap_words;
+    probe_note = host.Tpro_engine.Calibrate.probe_note;
+    bench_seeds = seeds;
+    seq_seconds;
+    par_seconds;
+    speedup = seq_seconds /. par_seconds;
+    identical =
+      tables_seq = tables_par && List.for_all (fun c -> c.cp_identical) curve;
+    per_table_seq = List.map (fun (id, s, _) -> (id, s)) per_table;
+    per_table_par = List.map (fun (id, _, p) -> (id, p)) per_table;
+    curve;
+    steals = stats.Tpro_engine.Pool.steals;
+    executed = stats.Tpro_engine.Pool.tasks_executed;
+    injected = stats.Tpro_engine.Pool.tasks_injected;
+    chunk_estimates;
+  }
 
 let print_par_bench b =
   Format.printf
@@ -346,64 +376,38 @@ let write_json path b micro =
 (* ------------------------------------------------------------------ *)
 (* Part 4: supervision overhead                                        *)
 
-module Supervisor = Tpro_engine.Supervisor
-
 type sup_bench = {
   sup_domains : int;
-  raw_seconds : float;  (** all_par from part 2, same seeds *)
-  supervised_seconds : float;  (** run_supervised, full sweep *)
-  overhead_ratio : float;  (** supervised / raw *)
-  sup_identical : bool;  (** supervised tables == raw tables *)
   clean_e2_seconds : float;
   retry_e2_seconds : float;  (** e2 with a Raise_once fault on its task *)
   retry_cost_seconds : float;
+  sup_identical : bool;  (** the retried e2 table == the clean one *)
 }
 
-let bench_supervisor ~raw_seconds ~raw_tables =
+let bench_supervisor () =
   let seeds = !seeds and domains = max 1 !jobs in
-  let supervised_run ?fault only =
-    Supervisor.with_supervisor ~domains ?fault (fun sup ->
-        Time_protection.Experiments.run_supervised ~seeds ~sup ?only ())
+  let e2 ?fault () =
+    Supervisor.with_supervisor ~domains ?fault
+      (sweep_tables ~seeds ~only:[ "e2" ])
   in
-  let sweep, supervised_seconds = time_wall (fun () -> supervised_run None) in
-  let sup_tables =
-    List.filter_map
-      (fun (_, r) -> match r with Ok t -> Some t | Error _ -> None)
-      sweep.Time_protection.Experiments.tables
-  in
-  let _, clean_e2_seconds =
-    time_wall (fun () -> supervised_run (Some [ "e2" ]))
-  in
-  (* run_supervised keys tasks by position in the selected list, so the
-     single e2 task has key 0: Raise_once hits it and forces exactly one
+  let clean, clean_e2_seconds = time_wall (fun () -> e2 ()) in
+  (* the sweep keys tasks by position in the selection, so the single
+     e2 task has key 0: Raise_once hits it and forces exactly one
      retry — the measured delta is the price of one recovery. *)
-  let retry_sweep, retry_e2_seconds =
-    time_wall (fun () ->
-        supervised_run ~fault:(Supervisor.Raise_once { key = 0 })
-          (Some [ "e2" ]))
-  in
-  let retried =
-    List.for_all
-      (fun (_, r) -> Result.is_ok r)
-      retry_sweep.Time_protection.Experiments.tables
+  let retried, retry_e2_seconds =
+    time_wall (fun () -> e2 ~fault:(Supervisor.Raise_once { key = 0 }) ())
   in
   {
     sup_domains = domains;
-    raw_seconds;
-    supervised_seconds;
-    overhead_ratio = supervised_seconds /. raw_seconds;
-    sup_identical = (sup_tables = raw_tables) && retried;
     clean_e2_seconds;
     retry_e2_seconds;
     retry_cost_seconds = retry_e2_seconds -. clean_e2_seconds;
+    sup_identical = clean = retried;
   }
 
 let print_sup_bench b =
-  Format.printf "=== Supervision layer: settled results vs. raw fan-out ===@.@.";
+  Format.printf "=== Supervision layer: the retry path ===@.@.";
   Format.printf "  pool size (-j):              %d@." b.sup_domains;
-  Format.printf "  raw all_par:                 %.3f s@." b.raw_seconds;
-  Format.printf "  supervised sweep:            %.3f s@." b.supervised_seconds;
-  Format.printf "  overhead:                    %.2fx@." b.overhead_ratio;
   Format.printf "  e2 clean:                    %.3f s@." b.clean_e2_seconds;
   Format.printf "  e2 with one retry:           %.3f s@." b.retry_e2_seconds;
   Format.printf "  retry-path cost:             %.3f s@." b.retry_cost_seconds;
@@ -413,11 +417,8 @@ let write_sup_json path b =
   let oc = open_out path in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
-  p "  \"schema\": \"tpro-bench-supervisor/1\",\n";
+  p "  \"schema\": \"tpro-bench-supervisor/2\",\n";
   p "  \"domains\": %d,\n" b.sup_domains;
-  p "  \"raw_all_par_seconds\": %.6f,\n" b.raw_seconds;
-  p "  \"supervised_sweep_seconds\": %.6f,\n" b.supervised_seconds;
-  p "  \"overhead_ratio\": %.4f,\n" b.overhead_ratio;
   p "  \"e2_clean_seconds\": %.6f,\n" b.clean_e2_seconds;
   p "  \"e2_one_retry_seconds\": %.6f,\n" b.retry_e2_seconds;
   p "  \"retry_cost_seconds\": %.6f,\n" b.retry_cost_seconds;
@@ -969,11 +970,9 @@ let write_topo_json path b =
 
 let () =
   if not !smoke then regenerate_tables ();
-  let par, raw_tables = bench_parallel () in
+  let par = bench_parallel () in
   print_par_bench par;
-  let sup =
-    bench_supervisor ~raw_seconds:par.par_seconds ~raw_tables
-  in
+  let sup = bench_supervisor () in
   print_sup_bench sup;
   let micro =
     if !smoke then [] else run_bechamel (experiment_tests @ micro_tests)
@@ -1006,7 +1005,7 @@ let () =
   end;
   if not sup.sup_identical then begin
     Format.printf
-      "ERROR: supervised sweep diverged from raw fan-out output@.";
+      "ERROR: retried sweep diverged from the clean sweep@.";
     exit 1
   end;
   let floor = !require_speedup_1core in

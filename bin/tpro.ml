@@ -34,14 +34,16 @@ let checkpoint_path checkpoint resume =
   | Some c, _ -> Some c
   | None, r -> r
 
-(* Supervised sweep shared by `tpro all` and `tpro exp` when a
-   checkpoint is in play: print the tables that settled, report the ones
-   that did not, exit 2 if the sweep is incomplete. *)
-let run_sweep_supervised ?seeds ?only ~csv ~jobs ~path ~resume () =
+(* The one experiment driver behind `tpro all` and `tpro exp`: print
+   the tables that settled, report the ones that did not, exit 2 if the
+   sweep is incomplete. *)
+let run_sweep ?only seeds csv jobs checkpoint resume =
+  let seeds = match seeds with [] -> None | l -> Some l in
   Supervisor.with_supervisor ~domains:jobs (fun sup ->
       let sw =
         Time_protection.Experiments.run_supervised ?seeds ~sup
-          ~checkpoint:path ~resume ?only ()
+          ?checkpoint:(checkpoint_path checkpoint resume)
+          ~resume:(resume <> None) ?only ()
       in
       print_supervision_stderr sup sw.Time_protection.Experiments.sweep_notes;
       let incomplete = ref false in
@@ -61,29 +63,9 @@ let run_experiment id seeds csv jobs checkpoint resume =
   | None ->
     Printf.eprintf "unknown experiment %s; try `tpro list`\n" id;
     exit 1
-  | Some f -> (
-    let seeds = match seeds with [] -> None | l -> Some l in
-    match checkpoint_path checkpoint resume with
-    | Some path ->
-      run_sweep_supervised ?seeds ~only:[ String.lowercase_ascii id ] ~csv
-        ~jobs ~path ~resume:(resume <> None) ()
-    | None ->
-      if jobs <= 1 then print_table csv (f ?seeds ())
-      else
-        Tpro_engine.Pool.with_pool ~domains:jobs (fun pool ->
-            print_table csv (f ?seeds ~pool ())))
-
-let run_all seeds csv jobs checkpoint resume =
-  let seeds = match seeds with [] -> None | l -> Some l in
-  match checkpoint_path checkpoint resume with
-  | Some path ->
-    run_sweep_supervised ?seeds ~csv ~jobs ~path ~resume:(resume <> None) ()
-  | None ->
-    let tables =
-      if jobs <= 1 then Time_protection.Experiments.all ?seeds ()
-      else Time_protection.Experiments.all_par ?seeds ~domains:jobs ()
-    in
-    List.iter (print_table csv) tables
+  | Some _ ->
+    run_sweep ~only:[ String.lowercase_ascii id ] seeds csv jobs checkpoint
+      resume
 
 let configs =
   Time_protection.Presets.standard @ Time_protection.Presets.ablations
@@ -235,20 +217,33 @@ let run_replay path =
     Format.eprintf "cannot replay %s: %a@." path
       Tpro_fuzz.Scenario.pp_parse_error pe;
     exit 124
-  | Ok (Tpro_fuzz.Replay.Scenario s) -> (
-    Format.printf "replaying %a@." Tpro_fuzz.Scenario.pp s;
-    match Tpro_fuzz.Oracle.check s with
+  | Ok r -> (
+    let verdict =
+      match r with
+      | Tpro_fuzz.Replay.Scenario s ->
+        Format.printf "replaying %a@." Tpro_fuzz.Scenario.pp s;
+        Tpro_fuzz.Oracle.check s
+      | Tpro_fuzz.Replay.Topology t ->
+        Format.printf "replaying %a@." Tpro_fuzz.Topology.pp t;
+        Tpro_fuzz.Oracle.check_topology t
+    in
+    match verdict with
     | Tpro_fuzz.Oracle.Pass -> print_endline "replay: PASS"
     | Tpro_fuzz.Oracle.Fail m ->
       Printf.printf "replay: FAIL: %s\n" m;
       exit 1)
-  | Ok (Tpro_fuzz.Replay.Topology t) -> (
-    Format.printf "replaying %a@." Tpro_fuzz.Topology.pp t;
-    match Tpro_fuzz.Oracle.check_topology t with
-    | Tpro_fuzz.Oracle.Pass -> print_endline "replay: PASS"
-    | Tpro_fuzz.Oracle.Fail m ->
-      Printf.printf "replay: FAIL: %s\n" m;
-      exit 1)
+
+(* What `tpro fuzz` and `tpro topo` print on stderr once a campaign
+   settles; [true] if the supervisor lost trials (exit 2 unless a
+   violation already exits 1). *)
+let report_campaign sup notes task_failures =
+  print_supervision_stderr sup notes;
+  List.iter
+    (fun { Tpro_fuzz.Driver.trial; error } ->
+      Format.eprintf "trial %d lost: %s@." trial
+        (Supervisor.task_error_to_string error))
+    task_failures;
+  task_failures <> []
 
 let run_fuzz seed trials jobs mutant replay out checkpoint checkpoint_every
     resume =
@@ -261,13 +256,10 @@ let run_fuzz seed trials jobs mutant replay out checkpoint checkpoint_every
             ?checkpoint:(checkpoint_path checkpoint resume)
             ~checkpoint_every ~resume:(resume <> None) ~seed ~trials ()
         in
-        print_supervision_stderr sup c.Tpro_fuzz.Driver.notes;
-        List.iter
-          (fun { Tpro_fuzz.Driver.trial; error } ->
-            Format.eprintf "trial %d lost: %s@." trial
-              (Supervisor.task_error_to_string error))
-          c.Tpro_fuzz.Driver.task_failures;
-        let incomplete = c.Tpro_fuzz.Driver.task_failures <> [] in
+        let incomplete =
+          report_campaign sup c.Tpro_fuzz.Driver.notes
+            c.Tpro_fuzz.Driver.task_failures
+        in
         match c.Tpro_fuzz.Driver.failures with
         | [] ->
           Format.printf "fuzz: %d trials (seed %d): zero oracle violations@."
@@ -300,13 +292,10 @@ let run_topo seed trials jobs mutant max_domains max_cores replay out
             ~checkpoint_every ~resume:(resume <> None) ~max_domains ~max_cores
             ~seed ~trials ()
         in
-        print_supervision_stderr sup c.Tpro_fuzz.Driver.topo_notes;
-        List.iter
-          (fun { Tpro_fuzz.Driver.trial; error } ->
-            Format.eprintf "trial %d lost: %s@." trial
-              (Supervisor.task_error_to_string error))
-          c.Tpro_fuzz.Driver.topo_task_failures;
-        let incomplete = c.Tpro_fuzz.Driver.topo_task_failures <> [] in
+        let incomplete =
+          report_campaign sup c.Tpro_fuzz.Driver.topo_notes
+            c.Tpro_fuzz.Driver.topo_task_failures
+        in
         match c.Tpro_fuzz.Driver.topo_failures with
         | [] ->
           Format.printf
@@ -514,6 +503,13 @@ let resume_arg =
            A missing, corrupt or mismatched checkpoint restarts from \
            scratch with a note on stderr.")
 
+let mutant_conv =
+  Arg.enum
+    (List.map
+       (fun m -> (Tpro_fuzz.Scenario.mutant_to_string m, m))
+       Tpro_fuzz.Scenario.
+         [ No_mutant; Skip_flush; Drop_padding; Miscolour ])
+
 let list_cmd =
   Cmd.v (Cmd.info "list" ~doc:"List experiment ids")
     Term.(const list_experiments $ const ())
@@ -551,7 +547,7 @@ let exp_cmd =
 let all_cmd =
   Cmd.v (Cmd.info "all" ~doc:"Run every experiment")
     Term.(
-      const run_all $ seeds_arg $ csv_arg $ jobs_arg $ checkpoint_arg
+      const (run_sweep ?only:None) $ seeds_arg $ csv_arg $ jobs_arg $ checkpoint_arg
       $ resume_arg)
 
 let trace_cmd =
@@ -655,13 +651,7 @@ let fuzz_cmd =
     Arg.(
       value
       & opt
-          (enum
-             [
-               ("none", Tpro_fuzz.Scenario.No_mutant);
-               ("skip-flush", Tpro_fuzz.Scenario.Skip_flush);
-               ("drop-padding", Tpro_fuzz.Scenario.Drop_padding);
-               ("miscolour", Tpro_fuzz.Scenario.Miscolour);
-             ])
+          mutant_conv
           Tpro_fuzz.Scenario.No_mutant
       & info [ "mutant" ]
           ~doc:
@@ -706,13 +696,7 @@ let topo_cmd =
     Arg.(
       value
       & opt
-          (enum
-             [
-               ("none", Tpro_fuzz.Scenario.No_mutant);
-               ("skip-flush", Tpro_fuzz.Scenario.Skip_flush);
-               ("drop-padding", Tpro_fuzz.Scenario.Drop_padding);
-               ("miscolour", Tpro_fuzz.Scenario.Miscolour);
-             ])
+          mutant_conv
           Tpro_fuzz.Scenario.No_mutant
       & info [ "mutant" ]
           ~doc:

@@ -809,202 +809,9 @@ let e20_btb ?(seeds = default_seeds) ?pool () =
 
 (* ------------------------------------------------------------------ *)
 
-(* The suite as thunks, so [all] and [all_par] share one definition.
-   [pool], when given, additionally fans each capacity table's trial grid
-   and E15's exhaustive sweep over the same domains. *)
-let suite ~seeds ?pool () =
-  [
-    (fun () -> e1_downgrader ~seeds ?pool ());
-    (fun () -> e2_l1_prime_probe ~seeds ?pool ());
-    (fun () -> e3_llc_prime_probe ~seeds ?pool ());
-    (fun () -> e4_switch_latency ~seeds ());
-    (fun () -> e5_kernel_text ~seeds ?pool ());
-    (fun () -> e6_interrupts ~seeds ?pool ());
-    (fun () -> e7_proofs ());
-    (fun () -> e8_tlb ~seeds ?pool ());
-    (fun () -> e9_interconnect ~seeds ?pool ());
-    (fun () -> e10_colours ());
-    (fun () -> e11_padding_strategies ~seeds ());
-    (fun () -> e12_smt ~seeds ?pool ());
-    (fun () -> e13_flush_reload ~seeds ?pool ());
-    (fun () -> e14_bandwidth ());
-    (fun () -> e15_exhaustive ?pool ());
-    (fun () -> e16_mutual ());
-    (fun () -> e17_branch_predictor ~seeds ?pool ());
-    (fun () -> e18_overhead ());
-    (fun () -> e19_side_channel ~seeds ?pool ());
-    (fun () -> e20_btb ~seeds ?pool ());
-  ]
-
-let all ?(seeds = default_seeds) () =
-  List.map (fun f -> f ()) (suite ~seeds ())
-
-let all_par ?(seeds = default_seeds) ?pool ?domains () =
-  let run p =
-    Tpro_engine.Pool.map p (fun f -> f ()) (suite ~seeds ~pool:p ())
-  in
-  match pool with
-  | Some p -> run p
-  | None -> Tpro_engine.Pool.with_pool ?domains run
-
 let ids =
   [ "e1"; "e2"; "e3"; "e4"; "e5"; "e6"; "e7"; "e8"; "e9"; "e10"; "e11";
     "e12"; "e13"; "e14"; "e15"; "e16"; "e17"; "e18"; "e19"; "e20" ]
-
-(* ------------------------------------------------------------------ *)
-(* Supervised sweep with checkpoint/resume.
-
-   One task per experiment table, run through the supervisor so a
-   raising table costs one [Error] row instead of the sweep, and the
-   trial grids inside each table still fan out over the supervisor's
-   pool.  Completed tables are serialised into the checkpoint
-   (exact-round-trip, see [Table.serialise]), so a resumed sweep
-   re-renders them byte-identically without recomputing. *)
-
-module Supervisor = Tpro_engine.Supervisor
-module Checkpoint = Tpro_engine.Checkpoint
-
-let sweep_payload ~seeds completed =
-  String.concat "\n"
-    ("kind exp"
-    :: ("seeds " ^ String.concat "," (List.map string_of_int seeds))
-    :: List.map
-         (fun (id, tbl) ->
-           "table " ^ id ^ " " ^ Checkpoint.escape (Table.serialise tbl))
-         completed)
-  ^ "\n"
-
-let parse_sweep ~seeds payload =
-  let kind = ref None and pseeds = ref None and tables = ref [] in
-  let bad = ref None in
-  List.iter
-    (fun line ->
-      if !bad = None && String.trim line <> "" then
-        match String.index_opt line ' ' with
-        | None -> bad := Some ("malformed state line: " ^ line)
-        | Some i -> (
-          let k = String.sub line 0 i
-          and v = String.sub line (i + 1) (String.length line - i - 1) in
-          match k with
-          | "kind" -> kind := Some v
-          | "seeds" -> pseeds := Some v
-          | "table" -> (
-            match String.index_opt v ' ' with
-            | None -> bad := Some "malformed table entry"
-            | Some j -> (
-              let id = String.sub v 0 j
-              and body = String.sub v (j + 1) (String.length v - j - 1) in
-              match Checkpoint.unescape body with
-              | None -> bad := Some ("malformed escape in table " ^ id)
-              | Some body -> (
-                match Table.deserialise body with
-                | Ok tbl -> tables := (id, tbl) :: !tables
-                | Error e ->
-                  bad := Some (Printf.sprintf "table %s: %s" id e))))
-          | _ -> bad := Some ("unknown state key `" ^ k ^ "`")))
-    (String.split_on_char '\n' payload);
-  match !bad with
-  | Some msg -> Error msg
-  | None ->
-    if !kind <> Some "exp" then
-      Error "checkpoint is not an experiment sweep"
-    else if
-      !pseeds <> Some (String.concat "," (List.map string_of_int seeds))
-    then Error "checkpoint was written for different seeds"
-    else Ok (List.rev !tables)
-
-type sweep = {
-  tables : (string * (Table.t, Supervisor.task_error) result) list;
-  sweep_resumed : int;  (** tables reused from the checkpoint *)
-  sweep_notes : string list;
-}
-
-let run_supervised ?(seeds = default_seeds) ~sup ?checkpoint
-    ?(resume = false) ?only () =
-  let notes = ref [] in
-  let note msg = notes := msg :: !notes in
-  let loaded =
-    match (resume, checkpoint) with
-    | true, Some path -> (
-      match Checkpoint.load ~path with
-      | Error (Checkpoint.Io msg) ->
-        note
-          (Printf.sprintf "no checkpoint to resume (%s); starting from scratch"
-             msg);
-        []
-      | Error e ->
-        note
-          (Printf.sprintf
-             "checkpoint rejected (%s); restarting sweep from scratch"
-             (Checkpoint.error_to_string e));
-        []
-      | Ok payload -> (
-        match parse_sweep ~seeds payload with
-        | Error msg ->
-          note
-            (Printf.sprintf
-               "checkpoint rejected (%s); restarting sweep from scratch" msg);
-          []
-        | Ok tables ->
-          note
-            (Printf.sprintf "resumed sweep: %d table%s already computed"
-               (List.length tables)
-               (if List.length tables = 1 then "" else "s"));
-          tables))
-    | _ -> []
-  in
-  let pool = Supervisor.pool sup in
-  let selected =
-    let all = List.combine ids (suite ~seeds ?pool ()) in
-    match only with
-    | None -> all
-    | Some keep ->
-      List.filter
-        (fun (id, _) -> List.mem (String.lowercase_ascii id) keep)
-        all
-  in
-  (* [completed] is newest-first; the payload reverses it back into
-     completion order *)
-  let completed =
-    ref
-      (List.rev
-         (List.filter (fun (id, _) -> List.mem_assoc id selected) loaded))
-  in
-  let reused = List.length !completed in
-  let save_state () =
-    match checkpoint with
-    | None -> ()
-    | Some path ->
-      Supervisor.checkpoint_save sup ~path
-        (sweep_payload ~seeds (List.rev !completed))
-  in
-  let tables =
-    List.mapi
-      (fun i (id, thunk) ->
-        match List.assoc_opt id !completed with
-        | Some tbl -> (id, Ok tbl)
-        | None -> (
-          let r =
-            match
-              Supervisor.run sup ~label:"experiment-table"
-                ~key:(fun _ -> i)
-                (fun ~fuel () ->
-                  Supervisor.Fuel.burn fuel;
-                  thunk ())
-                [ () ]
-            with
-            | [ r ] -> r
-            | _ -> assert false
-          in
-          (match r with
-          | Ok tbl ->
-            completed := (id, tbl) :: !completed;
-            save_state ()
-          | Error _ -> ());
-          (id, r)))
-      selected
-  in
-  { tables; sweep_resumed = reused; sweep_notes = List.rev !notes }
 
 let by_id id =
   match String.lowercase_ascii id with
@@ -1029,3 +836,68 @@ let by_id id =
   | "e19" -> Some (fun ?seeds ?pool () -> e19_side_channel ?seeds ?pool ())
   | "e20" -> Some (fun ?seeds ?pool () -> e20_btb ?seeds ?pool ())
   | _ -> None
+
+module Supervisor = Tpro_engine.Supervisor
+module Campaign = Tpro_engine.Campaign
+
+(* The one table task, shared with the serve daemon's [table] jobs. *)
+let run_table ~fuel ?seeds ?pool id =
+  match by_id id with
+  | None -> Error ("unknown experiment: " ^ id)
+  | Some f ->
+    Supervisor.Fuel.burn ~amount:100 fuel;
+    Ok (f ?seeds ?pool ())
+
+(* ------------------------------------------------------------------ *)
+(* The sweep: one campaign task per table, so a raising table costs one
+   [Error] row, not the sweep.  Tables round-trip exactly through
+   [Table.serialise], so a resumed sweep re-renders them byte for byte. *)
+
+type sweep = {
+  tables : (string * (Table.t, Supervisor.task_error) result) list;
+  sweep_resumed : int;
+  sweep_notes : string list;
+}
+
+let run_supervised ?seeds ~sup ?checkpoint ?(resume = false) ?only () =
+  let selected =
+    match only with
+    | None -> ids
+    | Some keep -> List.filter (fun id -> List.mem id keep) ids
+  in
+  let pool = Supervisor.pool sup in
+  let spec =
+    {
+      Campaign.kind = "exp";
+      params =
+        [
+          ( "seeds",
+            String.concat ","
+              (List.map string_of_int (Option.value seeds ~default:default_seeds))
+          );
+        ];
+      progress = false;
+      tag = "table";
+      label = "experiment-table";
+      chunk = (if checkpoint = None then List.length selected else 1);
+      key = snd;
+      id = fst;
+      task =
+        (fun ~fuel (_, id) ->
+          Result.fold ~ok:Fun.id ~error:invalid_arg
+            (run_table ~fuel ?seeds ?pool id));
+      entry = (fun t -> Campaign.Blob (Table.serialise t));
+      decode = Option.fold ~none:(Error "table without a body") ~some:Table.deserialise;
+    }
+  in
+  let tasks = List.mapi (fun i id -> (i, id)) selected in
+  let o = Campaign.run ~sup ?checkpoint ~resume spec tasks in
+  let tables =
+    List.map
+      (fun ((_, id) as t) ->
+        match List.assoc_opt t o.Campaign.recorded with
+        | Some tbl -> (id, Ok tbl)
+        | None -> (id, Error (List.assoc t o.Campaign.failed)))
+      tasks
+  in
+  { tables; sweep_resumed = o.Campaign.resumed; sweep_notes = o.Campaign.notes }

@@ -28,6 +28,17 @@ type outcome = {
   resumed_tasks : int;
 }
 
+val evidence_task :
+  fuel:Tpro_engine.Supervisor.Fuel.t ->
+  cfg:Kernel.config ->
+  seed:int ->
+  secrets:int list ->
+  Theorem.seed_evidence
+(** One evidence task: {!Theorem.collect} for one latency seed over the
+    proving scenario (the standard one with the BTB enabled), charged
+    to [fuel] per secret.  Shared by {!run} and the serve daemon's
+    [prove] jobs. *)
+
 val run :
   sup:Tpro_engine.Supervisor.t ->
   ?checkpoint:string ->
@@ -40,7 +51,10 @@ val run :
   presets:(string * Kernel.config) list ->
   unit ->
   outcome
-(** Defaults: checkpoint every task, seeds/secrets as in {!Ni_scenario},
+(** Evidence collection is a {!Tpro_engine.Campaign} recording per-task
+    results (kind [prove]; header [seeds]/[secrets]/[presets]; one
+    [task <i> <evidence>] line per settled task).
+    Defaults: checkpoint every task, seeds/secrets as in {!Ni_scenario},
     exhaustive small-model lemmas on.  [acknowledge] names out-of-scope
     resources whose [scope:] lemmas are accepted; any other out-of-scope
     registration refutes the composed theorem. *)

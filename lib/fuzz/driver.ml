@@ -1,6 +1,6 @@
 module Pool = Tpro_engine.Pool
 module Supervisor = Tpro_engine.Supervisor
-module Checkpoint = Tpro_engine.Checkpoint
+module Campaign = Tpro_engine.Campaign
 
 type failure = {
   scenario : Scenario.t;
@@ -21,54 +21,106 @@ let shrink_failure (s, m) =
   in
   { scenario = s; message = m; shrunk; shrunk_message }
 
-(* Chunk sizes are chosen by the pool's cost model per label: fuzz
-   trials and topology trials have very different per-item costs, and
-   both drift with trial size, so no static chunk fits. *)
-let map_trials ?pool ?(label = "fuzz-trial") f idxs =
-  match pool with
-  | Some p when Pool.size p > 1 -> Pool.map_auto ~label p f idxs
-  | Some _ | None -> List.map f idxs
+(* The per-kind tasks: generate trial [i], charge the fuel watchdog in
+   proportion to its size, check it.  Campaigns, searches and serve
+   jobs all run trials through these two functions. *)
+let fuzz_trial ~fuel ~seed ~mutant i =
+  let s = Scenario.generate ~seed ~mutant i in
+  Supervisor.Fuel.burn ~amount:(Scenario.size s) fuel;
+  check_one s
 
-let run ?pool ?(mutant = Scenario.No_mutant) ~seed ~trials () =
-  let f i = check_one (Scenario.generate ~seed ~mutant i) in
-  map_trials ?pool f (List.init trials Fun.id)
-  |> List.filter_map Fun.id |> List.map shrink_failure
+type topo_failure = { topology : Topology.t; topo_message : string }
 
-(* First failing trial within [budget], scanning in blocks so a pool can
-   be used without losing the early exit.  Returns how many trials were
-   needed (the failing trial's 1-based position) with the shrunk
-   counterexample. *)
-let first_failure ?pool ?(mutant = Scenario.No_mutant) ~seed ~budget () =
-  let block = match pool with Some p -> max 16 (4 * Pool.size p) | None -> 16 in
-  let rec go start =
-    if start >= budget then None
-    else begin
-      let n = min block (budget - start) in
-      let f i = check_one (Scenario.generate ~seed ~mutant i) in
-      let results = map_trials ?pool f (List.init n (fun i -> start + i)) in
-      let rec first i = function
-        | [] -> None
-        | Some fail :: _ -> Some (start + i + 1, shrink_failure fail)
-        | None :: rest -> first (i + 1) rest
-      in
-      match first 0 results with
-      | Some r -> Some r
-      | None -> go (start + n)
-    end
-  in
-  go 0
+let check_one_topo t =
+  match Oracle.check_topology t with
+  | Oracle.Pass -> None
+  | Oracle.Fail m -> Some { topology = t; topo_message = m }
+
+let topo_trial ~fuel ~seed ~mutant ~max_domains ~max_cores i =
+  let t = Topology.generate ~seed ~mutant ~max_domains ~max_cores i in
+  Supervisor.Fuel.burn ~amount:(Topology.size t) fuel;
+  check_one_topo t
 
 (* ------------------------------------------------------------------ *)
-(* Supervised campaign: fault-tolerant fan-out with crash-safe
-   checkpoint/resume.
+(* Unsupervised search: trials [0, budget) scanned in blocks over a
+   pool, keeping every failure or stopping at the first.  Only the
+   early exit needs small blocks; a full run is one block.  Chunk
+   sizes are chosen by the pool's cost model per label: fuzz and
+   topology trials have very different per-item costs. *)
 
-   The checkpoint records only (seed, mutant, trials completed, failing
-   trial indices): every scenario and every verdict regenerates
+let search ?pool ~label ~first check budget =
+  let block =
+    if not first then max 1 budget
+    else match pool with Some p -> max 16 (4 * Pool.size p) | None -> 16
+  in
+  let map idxs =
+    match pool with
+    | Some p when Pool.size p > 1 -> Pool.map_auto ~label p check idxs
+    | Some _ | None -> List.map check idxs
+  in
+  let rec go start acc =
+    if start >= budget then List.rev acc
+    else begin
+      let idxs = List.init (min block (budget - start)) (fun i -> start + i) in
+      let found =
+        List.concat
+          (List.map2
+             (fun i r -> match r with Some f -> [ (i, f) ] | None -> [])
+             idxs (map idxs))
+      in
+      match found with
+      | hit :: _ when first -> [ hit ]
+      | _ -> go (start + List.length idxs) (List.rev_append found acc)
+    end
+  in
+  go 0 []
+
+let fuzz_check ~seed ~mutant i =
+  fuzz_trial ~fuel:(Supervisor.Fuel.make None) ~seed ~mutant i
+
+let run ?pool ?(mutant = Scenario.No_mutant) ~seed ~trials () =
+  search ?pool ~label:"fuzz-trial" ~first:false (fuzz_check ~seed ~mutant)
+    trials
+  |> List.map (fun (_, f) -> shrink_failure f)
+
+(* The failing trial's 1-based position is how many trials the search
+   needed. *)
+let first_failure ?pool ?(mutant = Scenario.No_mutant) ~seed ~budget () =
+  match
+    search ?pool ~label:"fuzz-trial" ~first:true (fuzz_check ~seed ~mutant)
+      budget
+  with
+  | (i, f) :: _ -> Some (i + 1, shrink_failure f)
+  | [] -> None
+
+let topo_check ~seed ~mutant ~max_domains ~max_cores i =
+  topo_trial ~fuel:(Supervisor.Fuel.make None) ~seed ~mutant ~max_domains
+    ~max_cores i
+
+let topo_run ?pool ?(mutant = Scenario.No_mutant) ?(max_domains = 8)
+    ?(max_cores = 4) ~seed ~trials () =
+  search ?pool ~label:"topo-trial" ~first:false
+    (topo_check ~seed ~mutant ~max_domains ~max_cores)
+    trials
+  |> List.map snd
+
+let topo_first_failure ?pool ?(mutant = Scenario.No_mutant) ?(max_domains = 8)
+    ?(max_cores = 4) ~seed ~budget () =
+  match
+    search ?pool ~label:"topo-trial" ~first:true
+      (topo_check ~seed ~mutant ~max_domains ~max_cores)
+      budget
+  with
+  | (i, f) :: _ -> Some (i + 1, f)
+  | [] -> None
+
+(* ------------------------------------------------------------------ *)
+(* Supervised campaigns over {!Tpro_engine.Campaign}: a kind that
+   records progress, so the checkpoint holds only [done N] and the
+   failing trial indices.  Every scenario and verdict regenerates
    deterministically from those integers, so a resumed campaign's final
-   report — including the shrunk counterexamples — is bit-identical to
-   an uninterrupted run.  Shrinking is deferred to the end of the
-   campaign for the same reason: it re-derives from the recorded
-   indices no matter how many times the process died in between. *)
+   report is bit-identical to an uninterrupted run.  Shrinking is
+   deferred to the end of the campaign for the same reason. *)
 
 type task_failure = { trial : int; error : Supervisor.task_error }
 
@@ -80,153 +132,48 @@ type campaign = {
   notes : string list;
 }
 
-let state_payload ~seed ~mutant ~completed ~failing =
-  String.concat "\n"
-    ([
-       "kind fuzz";
-       "seed " ^ string_of_int seed;
-       "mutant " ^ Scenario.mutant_to_string mutant;
-       "done " ^ string_of_int completed;
-     ]
-    @ List.map (fun i -> "fail " ^ string_of_int i) failing)
-  ^ "\n"
-
-let parse_state ~seed ~mutant payload =
-  let kind = ref None
-  and pseed = ref None
-  and pmutant = ref None
-  and completed = ref None
-  and fails = ref [] in
-  let bad = ref None in
-  List.iter
-    (fun line ->
-      if !bad = None && String.trim line <> "" then
-        match String.index_opt line ' ' with
-        | None -> bad := Some ("malformed state line: " ^ line)
-        | Some i -> (
-          let k = String.sub line 0 i
-          and v = String.sub line (i + 1) (String.length line - i - 1) in
-          let int_or k' =
-            match int_of_string_opt v with
-            | Some n -> Some n
-            | None ->
-              bad := Some (Printf.sprintf "state key `%s` wants an integer" k');
-              None
-          in
-          match k with
-          | "kind" -> kind := Some v
-          | "seed" -> pseed := int_or k
-          | "mutant" -> pmutant := Some v
-          | "done" -> completed := int_or k
-          | "fail" -> (
-            match int_or k with
-            | Some n -> fails := n :: !fails
-            | None -> ())
-          | _ -> bad := Some ("unknown state key `" ^ k ^ "`")))
-    (String.split_on_char '\n' payload);
-  match !bad with
-  | Some msg -> Error msg
-  | None ->
-    if !kind <> Some "fuzz" then Error "checkpoint is not a fuzz campaign"
-    else if !pseed <> Some seed then
-      Error "checkpoint was written for a different seed"
-    else if !pmutant <> Some (Scenario.mutant_to_string mutant) then
-      Error "checkpoint was written for a different mutant"
-    else
-      match !completed with
-      | None -> Error "checkpoint has no `done` count"
-      | Some d -> Ok (d, List.rev !fails)
+(* Returns the failing trial indices, the trials the supervisor lost,
+   how many trials the checkpoint covered, and the notes. *)
+let trial_campaign ~sup ?checkpoint ~resume ~kind ~seed ~mutant ~params ~label
+    ~every ~trials failing =
+  let spec =
+    {
+      Campaign.kind;
+      params =
+        ("seed", string_of_int seed)
+        :: ("mutant", Scenario.mutant_to_string mutant)
+        :: params;
+      progress = true;
+      tag = "fail";
+      label;
+      chunk = every;
+      key = string_of_int;
+      id = Fun.id;
+      task = failing;
+      entry = (fun failed -> if failed then Campaign.Mark else Campaign.Skip);
+      decode =
+        (function None -> Ok true | Some _ -> Error "unexpected payload");
+    }
+  in
+  let o = Campaign.run ~sup ?checkpoint ~resume spec (List.init trials Fun.id) in
+  ( List.map fst o.Campaign.recorded,
+    List.map (fun (trial, error) -> { trial; error }) o.Campaign.failed,
+    o.Campaign.resumed,
+    o.Campaign.notes )
 
 let campaign ~sup ?(mutant = Scenario.No_mutant) ?checkpoint
     ?(checkpoint_every = 200) ?(resume = false) ~seed ~trials () =
-  let notes = ref [] in
-  let note msg = notes := msg :: !notes in
-  let start, failing0 =
-    match (resume, checkpoint) with
-    | true, Some path -> (
-      match Checkpoint.load ~path with
-      | Error (Checkpoint.Io msg) ->
-        note
-          (Printf.sprintf "no checkpoint to resume (%s); starting from scratch"
-             msg);
-        (0, [])
-      | Error e ->
-        note
-          (Printf.sprintf
-             "checkpoint rejected (%s); restarting campaign from scratch"
-             (Checkpoint.error_to_string e));
-        (0, [])
-      | Ok payload -> (
-        match parse_state ~seed ~mutant payload with
-        | Error msg ->
-          note
-            (Printf.sprintf
-               "checkpoint rejected (%s); restarting campaign from scratch"
-               msg);
-          (0, [])
-        | Ok (d, _) when d > trials ->
-          note
-            (Printf.sprintf
-               "checkpoint covers %d trials but only %d were requested; \
-                restarting campaign from scratch"
-               d trials);
-          (0, [])
-        | Ok (d, fails) ->
-          note
-            (Printf.sprintf
-               "resumed at trial %d (%d violation%s already recorded)" d
-               (List.length fails)
-               (if List.length fails = 1 then "" else "s"));
-          (d, fails)))
-    | _ -> (0, [])
+  let failing, task_failures, resumed_from, notes =
+    trial_campaign ~sup ?checkpoint ~resume ~kind:"fuzz" ~seed ~mutant ~params:[]
+      ~label:"fuzz-trial" ~every:checkpoint_every ~trials
+      (fun ~fuel i -> Option.is_some (fuzz_trial ~fuel ~seed ~mutant i))
   in
-  let failing = ref (List.rev failing0) (* newest first *) in
-  let task_failures = ref [] in
-  let pos = ref start in
-  let save_state () =
-    match checkpoint with
-    | None -> ()
-    | Some path ->
-      Supervisor.checkpoint_save sup ~path
-        (state_payload ~seed ~mutant ~completed:!pos
-           ~failing:(List.rev !failing))
-  in
-  let every = max 1 checkpoint_every in
-  while !pos < trials do
-    let n = min every (trials - !pos) in
-    let idxs = List.init n (fun i -> !pos + i) in
-    let results =
-      Supervisor.run sup ~label:"fuzz-trial" ~key:Fun.id
-        (fun ~fuel i ->
-          let s = Scenario.generate ~seed ~mutant i in
-          Supervisor.Fuel.burn ~amount:(Scenario.size s) fuel;
-          check_one s)
-        idxs
-    in
-    List.iter2
-      (fun i -> function
-        | Ok None -> ()
-        | Ok (Some _) -> failing := i :: !failing
-        | Error error ->
-          task_failures := { trial = i; error } :: !task_failures)
-      idxs results;
-    pos := !pos + n;
-    save_state ()
-  done;
   let failures =
     List.filter_map
-      (fun i ->
-        Option.map shrink_failure
-          (check_one (Scenario.generate ~seed ~mutant i)))
-      (List.rev !failing)
+      (fun i -> Option.map shrink_failure (fuzz_check ~seed ~mutant i))
+      failing
   in
-  {
-    failures;
-    trials;
-    resumed_from = start;
-    task_failures = List.rev !task_failures;
-    notes = List.rev !notes;
-  }
+  { failures; trials; resumed_from; task_failures; notes }
 
 (* ------------------------------------------------------------------ *)
 (* Topology campaigns: the N-domain/M-core generalisation.
@@ -239,47 +186,6 @@ let campaign ~sup ?(mutant = Scenario.No_mutant) ?checkpoint
    [(seed, idx)] pair plus the saved replay file is already a complete,
    minimal reproducer. *)
 
-type topo_failure = { topology : Topology.t; topo_message : string }
-
-let check_one_topo t =
-  match Oracle.check_topology t with
-  | Oracle.Pass -> None
-  | Oracle.Fail m -> Some { topology = t; topo_message = m }
-
-let topo_run ?pool ?(mutant = Scenario.No_mutant) ?max_domains ?max_cores ~seed
-    ~trials () =
-  let f i =
-    check_one_topo (Topology.generate ~seed ~mutant ?max_domains ?max_cores i)
-  in
-  map_trials ?pool ~label:"topo-trial" f (List.init trials Fun.id)
-  |> List.filter_map Fun.id
-
-let topo_first_failure ?pool ?(mutant = Scenario.No_mutant) ?max_domains
-    ?max_cores ~seed ~budget () =
-  let block = match pool with Some p -> max 16 (4 * Pool.size p) | None -> 16 in
-  let f i =
-    check_one_topo (Topology.generate ~seed ~mutant ?max_domains ?max_cores i)
-  in
-  let rec go start =
-    if start >= budget then None
-    else begin
-      let n = min block (budget - start) in
-      let results =
-        map_trials ?pool ~label:"topo-trial" f
-          (List.init n (fun i -> start + i))
-      in
-      let rec first i = function
-        | [] -> None
-        | Some fail :: _ -> Some (start + i + 1, fail)
-        | None :: rest -> first (i + 1) rest
-      in
-      match first 0 results with
-      | Some r -> Some r
-      | None -> go (start + n)
-    end
-  in
-  go 0
-
 type topo_campaign = {
   topo_failures : topo_failure list;
   topo_trials : int;
@@ -288,162 +194,27 @@ type topo_campaign = {
   topo_notes : string list;
 }
 
-let topo_state_payload ~seed ~mutant ~max_domains ~max_cores ~completed
-    ~failing =
-  String.concat "\n"
-    ([
-       "kind topo";
-       "seed " ^ string_of_int seed;
-       "mutant " ^ Scenario.mutant_to_string mutant;
-       "domains " ^ string_of_int max_domains;
-       "cores " ^ string_of_int max_cores;
-       "done " ^ string_of_int completed;
-     ]
-    @ List.map (fun i -> "fail " ^ string_of_int i) failing)
-  ^ "\n"
-
-let parse_topo_state ~seed ~mutant ~max_domains ~max_cores payload =
-  let kind = ref None
-  and pseed = ref None
-  and pmutant = ref None
-  and pdomains = ref None
-  and pcores = ref None
-  and completed = ref None
-  and fails = ref [] in
-  let bad = ref None in
-  List.iter
-    (fun line ->
-      if !bad = None && String.trim line <> "" then
-        match String.index_opt line ' ' with
-        | None -> bad := Some ("malformed state line: " ^ line)
-        | Some i -> (
-          let k = String.sub line 0 i
-          and v = String.sub line (i + 1) (String.length line - i - 1) in
-          let int_or k' =
-            match int_of_string_opt v with
-            | Some n -> Some n
-            | None ->
-              bad := Some (Printf.sprintf "state key `%s` wants an integer" k');
-              None
-          in
-          match k with
-          | "kind" -> kind := Some v
-          | "seed" -> pseed := int_or k
-          | "mutant" -> pmutant := Some v
-          | "domains" -> pdomains := int_or k
-          | "cores" -> pcores := int_or k
-          | "done" -> completed := int_or k
-          | "fail" -> (
-            match int_or k with
-            | Some n -> fails := n :: !fails
-            | None -> ())
-          | _ -> bad := Some ("unknown state key `" ^ k ^ "`")))
-    (String.split_on_char '\n' payload);
-  match !bad with
-  | Some msg -> Error msg
-  | None ->
-    if !kind <> Some "topo" then Error "checkpoint is not a topology campaign"
-    else if !pseed <> Some seed then
-      Error "checkpoint was written for a different seed"
-    else if !pmutant <> Some (Scenario.mutant_to_string mutant) then
-      Error "checkpoint was written for a different mutant"
-    else if !pdomains <> Some max_domains then
-      Error "checkpoint was written for a different --domains bound"
-    else if !pcores <> Some max_cores then
-      Error "checkpoint was written for a different --cores bound"
-    else
-      match !completed with
-      | None -> Error "checkpoint has no `done` count"
-      | Some d -> Ok (d, List.rev !fails)
-
 let topo_campaign ~sup ?(mutant = Scenario.No_mutant) ?checkpoint
     ?(checkpoint_every = 50) ?(resume = false) ?(max_domains = 8)
     ?(max_cores = 4) ~seed ~trials () =
-  let notes = ref [] in
-  let note msg = notes := msg :: !notes in
-  let gen i = Topology.generate ~seed ~mutant ~max_domains ~max_cores i in
-  let start, failing0 =
-    match (resume, checkpoint) with
-    | true, Some path -> (
-      match Checkpoint.load ~path with
-      | Error (Checkpoint.Io msg) ->
-        note
-          (Printf.sprintf "no checkpoint to resume (%s); starting from scratch"
-             msg);
-        (0, [])
-      | Error e ->
-        note
-          (Printf.sprintf
-             "checkpoint rejected (%s); restarting campaign from scratch"
-             (Checkpoint.error_to_string e));
-        (0, [])
-      | Ok payload -> (
-        match parse_topo_state ~seed ~mutant ~max_domains ~max_cores payload
-        with
-        | Error msg ->
-          note
-            (Printf.sprintf
-               "checkpoint rejected (%s); restarting campaign from scratch"
-               msg);
-          (0, [])
-        | Ok (d, _) when d > trials ->
-          note
-            (Printf.sprintf
-               "checkpoint covers %d trials but only %d were requested; \
-                restarting campaign from scratch"
-               d trials);
-          (0, [])
-        | Ok (d, fails) ->
-          note
-            (Printf.sprintf
-               "resumed at trial %d (%d violation%s already recorded)" d
-               (List.length fails)
-               (if List.length fails = 1 then "" else "s"));
-          (d, fails)))
-    | _ -> (0, [])
-  in
-  let failing = ref (List.rev failing0) (* newest first *) in
-  let task_failures = ref [] in
-  let pos = ref start in
-  let save_state () =
-    match checkpoint with
-    | None -> ()
-    | Some path ->
-      Supervisor.checkpoint_save sup ~path
-        (topo_state_payload ~seed ~mutant ~max_domains ~max_cores
-           ~completed:!pos ~failing:(List.rev !failing))
-  in
-  let every = max 1 checkpoint_every in
-  while !pos < trials do
-    let n = min every (trials - !pos) in
-    let idxs = List.init n (fun i -> !pos + i) in
-    let results =
-      Supervisor.run sup ~label:"topo-trial" ~key:Fun.id
-        (fun ~fuel i ->
-          let t = gen i in
-          Supervisor.Fuel.burn ~amount:(Topology.size t) fuel;
-          Option.is_some (check_one_topo t))
-        idxs
-    in
-    List.iter2
-      (fun i -> function
-        | Ok false -> ()
-        | Ok true -> failing := i :: !failing
-        | Error error ->
-          task_failures := { trial = i; error } :: !task_failures)
-      idxs results;
-    pos := !pos + n;
-    save_state ()
-  done;
-  let failures = List.filter_map (fun i -> check_one_topo (gen i))
-      (List.rev !failing)
+  let failing, task_failures, resumed_from, notes =
+    trial_campaign ~sup ?checkpoint ~resume ~kind:"topo" ~seed ~mutant
+      ~params:
+        [
+          ("domains", string_of_int max_domains); ("cores", string_of_int max_cores);
+        ]
+      ~label:"topo-trial" ~every:checkpoint_every ~trials
+      (fun ~fuel i ->
+        Option.is_some
+          (topo_trial ~fuel ~seed ~mutant ~max_domains ~max_cores i))
   in
   {
-    topo_failures = failures;
+    topo_failures =
+      List.filter_map (topo_check ~seed ~mutant ~max_domains ~max_cores) failing;
     topo_trials = trials;
-    topo_resumed_from = start;
-    topo_task_failures = List.rev !task_failures;
-    topo_notes = List.rev !notes;
+    topo_resumed_from = resumed_from;
+    topo_task_failures = task_failures;
+    topo_notes = notes;
   }
 
 let pp_topo_failure ppf f =

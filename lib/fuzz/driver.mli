@@ -15,6 +15,16 @@ type failure = {
 val check_one : Scenario.t -> (Scenario.t * string) option
 (** [None] on pass, [Some (scenario, message)] on failure. *)
 
+val fuzz_trial :
+  fuel:Tpro_engine.Supervisor.Fuel.t ->
+  seed:int ->
+  mutant:Scenario.mutant ->
+  int ->
+  (Scenario.t * string) option
+(** Trial [i] of [seed]: generate the scenario, charge [fuel] its
+    {!Scenario.size}, {!check_one} it.  The one task behind every fuzz
+    campaign, search and serve job. *)
+
 val run :
   ?pool:Tpro_engine.Pool.t ->
   ?mutant:Scenario.mutant ->
@@ -23,7 +33,9 @@ val run :
   unit ->
   failure list
 (** Run trials [0 .. trials-1] of [seed]; shrink and report every
-    failure.  Empty list = zero oracle violations. *)
+    failure.  Empty list = zero oracle violations.  This and
+    {!first_failure} (and their topology twins) are one block-scanning
+    search over {!fuzz_trial}. *)
 
 val first_failure :
   ?pool:Tpro_engine.Pool.t ->
@@ -62,17 +74,12 @@ val campaign :
   trials:int ->
   unit ->
   campaign
-(** Supervised, crash-safe campaign.  With [?checkpoint:path], progress
-    is snapshotted every [checkpoint_every] (default 200) trials via
-    {!Tpro_engine.Checkpoint} (write-tmp + fsync + rename).  With
-    [~resume:true], the checkpoint at [path] is loaded first: the
-    campaign continues from its last completed chunk, and the final
-    {!campaign} value — violations, shrunk counterexamples, ordering —
-    is bit-identical to an uninterrupted run, because the checkpoint
-    records only trial indices and everything regenerates
-    deterministically from them.  A corrupt, truncated, stale-version
-    or mismatched (different seed/mutant) checkpoint is rejected with a
-    note and the campaign restarts cleanly from scratch. *)
+(** Supervised, crash-safe campaign: a {!Tpro_engine.Campaign} of kind
+    [fuzz] that records progress (header [seed]/[mutant], [done N], one
+    [fail <i>] per failing trial), checkpointed every [checkpoint_every]
+    (default 200) trials.  Everything regenerates from trial indices,
+    so a resumed campaign's report — shrunk counterexamples included —
+    is bit-identical to an uninterrupted run's. *)
 
 val pp_failure : Format.formatter -> failure -> unit
 
@@ -90,6 +97,17 @@ val pp_failure : Format.formatter -> failure -> unit
 type topo_failure = { topology : Topology.t; topo_message : string }
 
 val check_one_topo : Topology.t -> topo_failure option
+
+val topo_trial :
+  fuel:Tpro_engine.Supervisor.Fuel.t ->
+  seed:int ->
+  mutant:Scenario.mutant ->
+  max_domains:int ->
+  max_cores:int ->
+  int ->
+  topo_failure option
+(** As {!fuzz_trial}, for topologies: generate, charge
+    {!Topology.size}, {!check_one_topo}. *)
 
 val topo_run :
   ?pool:Tpro_engine.Pool.t ->
@@ -133,12 +151,8 @@ val topo_campaign :
   trials:int ->
   unit ->
   topo_campaign
-(** As {!campaign}, for topologies: crash-safe checkpoints (kind
-    [topo], default every 50 trials — a topology trial is roughly an
-    order of magnitude heavier than a scenario trial) recording only
-    trial indices, so a resumed campaign's report is bit-identical to
-    an uninterrupted one.  A checkpoint written for different
-    seed/mutant/[--domains]/[--cores] parameters is rejected with a
-    note and the campaign restarts from scratch. *)
+(** As {!campaign}, kind [topo] (the header adds [domains]/[cores]),
+    checkpointed every 50 trials by default: a topology trial is about
+    an order of magnitude heavier than a scenario trial. *)
 
 val pp_topo_failure : Format.formatter -> topo_failure -> unit

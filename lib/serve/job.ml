@@ -6,7 +6,7 @@
 module Fuel = Tpro_engine.Supervisor.Fuel
 module Scenario = Tpro_fuzz.Scenario
 module Topology = Tpro_fuzz.Topology
-module Oracle = Tpro_fuzz.Oracle
+module Driver = Tpro_fuzz.Driver
 
 type kind =
   | Ping
@@ -108,9 +108,12 @@ let presets =
   lazy (Time_protection.Presets.standard @ Time_protection.Presets.ablations)
 
 let verdict_payload = function
-  | Oracle.Pass -> "pass"
-  | Oracle.Fail m -> "fail " ^ Tpro_engine.Frame.escape m
+  | None -> "pass"
+  | Some m -> "fail " ^ Tpro_engine.Frame.escape m
 
+(* The oracle, prover and table arms run the campaigns' own per-kind
+   tasks, so a job and a campaign task charge the same fuel and build
+   the same scenario. *)
 let execute ~fuel kind =
   match kind with
   | Ping ->
@@ -126,34 +129,27 @@ let execute ~fuel kind =
     done;
     Ok (Printf.sprintf "spun %d (%d)" n (!acc land 0xff))
   | Fuzz { seed; idx; mutant } ->
-    let s = Scenario.generate ~seed ~mutant idx in
-    Fuel.burn ~amount:(Scenario.size s) fuel;
-    Ok (verdict_payload (Oracle.check s))
+    Ok
+      (verdict_payload
+         (Option.map snd (Driver.fuzz_trial ~fuel ~seed ~mutant idx)))
   | Topo { seed; idx; max_domains; max_cores; mutant } ->
-    let t = Topology.generate ~seed ~mutant ~max_domains ~max_cores idx in
-    Fuel.burn ~amount:(Topology.size t) fuel;
-    Ok (verdict_payload (Oracle.check_topology t))
+    Ok
+      (verdict_payload
+         (Option.map
+            (fun f -> f.Driver.topo_message)
+            (Driver.topo_trial ~fuel ~seed ~mutant ~max_domains ~max_cores idx)))
   | Prove { preset; seed; secrets } -> (
     match List.assoc_opt preset (Lazy.force presets) with
     | None -> Error ("unknown preset: " ^ preset)
     | Some cfg ->
       let secrets = if secrets = [] then [ 0; 1 ] else secrets in
-      Fuel.burn ~amount:(100 * List.length secrets) fuel;
-      let ev =
-        Tpro_secmodel.Theorem.collect ~seed
-          ~build:(fun ~secret ->
-            Time_protection.Ni_scenario.build_with ~with_btb:true ~cfg ~seed
-              ~secret)
-          ~secrets ()
-      in
-      Ok (Tpro_secmodel.Theorem.evidence_to_string ev))
-  | Table { id; seeds } -> (
-    match Time_protection.Experiments.by_id id with
-    | None -> Error ("unknown experiment: " ^ id)
-    | Some f ->
-      Fuel.burn ~amount:100 fuel;
-      let seeds = match seeds with [] -> None | l -> Some l in
-      Ok (Time_protection.Table.serialise (f ?seeds ())))
+      Ok
+        (Tpro_secmodel.Theorem.evidence_to_string
+           (Time_protection.Prove.evidence_task ~fuel ~cfg ~seed ~secrets)))
+  | Table { id; seeds } ->
+    let seeds = match seeds with [] -> None | l -> Some l in
+    Result.map Time_protection.Table.serialise
+      (Time_protection.Experiments.run_table ~fuel ?seeds id)
 
 (* ------------------------------------------------------------------ *)
 (* Load-generator kind specs                                            *)

@@ -57,7 +57,7 @@ let test_by_id_total () =
     (Experiments.by_id "e99" = None)
 
 let test_e10_static () =
-  let t = Experiments.e10_colours () in
+  let t = (Option.get (Experiments.by_id "e10")) () in
   Alcotest.(check int) "five geometries" 5 (List.length t.Table.rows);
   (* the 8 MiB row must show >= 64 colours, the paper's claim *)
   match List.nth t.Table.rows 3 with
@@ -67,7 +67,7 @@ let test_e10_static () =
   | _ -> Alcotest.fail "unexpected row shape"
 
 let test_e4_shape () =
-  let t = Experiments.e4_switch_latency ~seeds:[ 0; 1 ] () in
+  let t = (Option.get (Experiments.by_id "e4")) ~seeds:[ 0; 1 ] () in
   Alcotest.(check int) "five dirtiness levels" 5 (List.length t.Table.rows);
   let flush_costs =
     List.map

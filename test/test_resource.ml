@@ -312,7 +312,20 @@ let read_file path =
 
 let test_experiment_tables_bit_identical () =
   let golden = read_file "golden_experiments.csv" in
-  let tables = Time_protection.Experiments.all_par () in
+  let sweep =
+    Tpro_engine.Supervisor.with_supervisor (fun sup ->
+        Time_protection.Experiments.run_supervised ~sup ())
+  in
+  let tables =
+    List.map
+      (fun (id, r) ->
+        match r with
+        | Ok t -> t
+        | Error e ->
+          Alcotest.failf "%s lost: %s" id
+            (Tpro_engine.Supervisor.task_error_to_string e))
+      sweep.Time_protection.Experiments.tables
+  in
   let csv =
     String.concat "" (List.map Time_protection.Table.to_csv tables)
   in

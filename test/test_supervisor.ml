@@ -338,7 +338,7 @@ let test_table_serialise_roundtrip () =
       | Ok t' ->
         Alcotest.(check bool) "table round-trips exactly" true (t = t')
       | Error e -> Alcotest.failf "deserialise failed: %s" e)
-    [ nasty; Time_protection.Experiments.e10_colours () ]
+    [ nasty; (Option.get (Time_protection.Experiments.by_id "e10")) () ]
 
 (* ------------------------------------------------------------------ *)
 (* Campaign checkpoint/resume equivalence                              *)
