@@ -6,10 +6,10 @@
    Part 2 (with part 8 folded in) benchmarks the work-stealing trial
    engine: the full experiment suite through the one experiment driver
    ([Experiments.run_supervised], as [tpro all] runs it) on one domain
-   vs. over the *calibrated* supervisor (the configuration a flagless user gets — 1
-   domain on a 1-core container, so the headline speedup must sit at
-   ~1.0 there), per-table sequential and parallel times, a forced
-   -j 1/2/4 scaling curve with steal counts, and the calibration
+   vs. over the *calibrated* supervisor (the configuration a flagless
+   user gets — 1 domain on a 1-core container, so the headline speedup
+   must sit at ~1.0 there), per-table sequential and parallel times, a
+   forced -j 1/2/4 scaling curve with steal counts, and the calibration
    decision itself (cores detected, domains chosen, minor-heap
    sizing).  Every run is checked bit-identical to sequential and the
    whole thing is written as BENCH_parallel.json schema v2 so perf

@@ -547,8 +547,8 @@ let exp_cmd =
 let all_cmd =
   Cmd.v (Cmd.info "all" ~doc:"Run every experiment")
     Term.(
-      const (run_sweep ?only:None) $ seeds_arg $ csv_arg $ jobs_arg $ checkpoint_arg
-      $ resume_arg)
+      const (run_sweep ?only:None)
+      $ seeds_arg $ csv_arg $ jobs_arg $ checkpoint_arg $ resume_arg)
 
 let trace_cmd =
   let cfg = Arg.(value & pos 0 string "full" & info [] ~docv:"CONFIG") in

@@ -887,7 +887,9 @@ let run_supervised ?seeds ~sup ?checkpoint ?(resume = false) ?only () =
           Result.fold ~ok:Fun.id ~error:invalid_arg
             (run_table ~fuel ?seeds ?pool id));
       entry = (fun t -> Campaign.Blob (Table.serialise t));
-      decode = Option.fold ~none:(Error "table without a body") ~some:Table.deserialise;
+      decode =
+        Option.fold ~none:(Error "table without a body")
+          ~some:Table.deserialise;
     }
   in
   let tasks = List.mapi (fun i id -> (i, id)) selected in

@@ -30,7 +30,8 @@ let ( let* ) = Result.bind
 let split_word s =
   match String.index_opt s ' ' with
   | None -> (s, None)
-  | Some i -> (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
+  | Some i ->
+    (String.sub s 0 i, Some (String.sub s (i + 1) (String.length s - i - 1)))
 
 let line k v = k ^ " " ^ v
 
@@ -58,7 +59,8 @@ let parse spec text =
       | k', Some v' when k' = k && v' = v -> header expected rest
       | "kind", Some v' when k = "kind" ->
         Error (Printf.sprintf "checkpoint is a %s campaign, not %s" v' v)
-      | k', Some _ when k' = k -> Error ("checkpoint was written for a different " ^ k)
+      | k', Some _ when k' = k ->
+        Error ("checkpoint was written for a different " ^ k)
       | _ -> Error (Printf.sprintf "expected a `%s` line, found `%s`" k l))
   in
   let item l =
@@ -135,8 +137,9 @@ let run ~sup ?checkpoint ?(resume = false) spec tasks =
   in
   let done0, items = Option.value loaded ~default:(0, []) in
   (* keep the first item naming each of this run's tasks; drop the rest *)
-  let by_key = Hashtbl.create (if items = [] then 1 else n_tasks) in
-  if items <> [] then List.iter (fun t -> Hashtbl.replace by_key (spec.key t) t) tasks;
+  let by_key = Hashtbl.create 16 in
+  if items <> [] then
+    List.iter (fun t -> Hashtbl.replace by_key (spec.key t) t) tasks;
   let seen = Hashtbl.create 16 in
   let recorded0 =
     List.filter_map
@@ -176,11 +179,11 @@ let run ~sup ?checkpoint ?(resume = false) spec tasks =
         (fun t -> function
           | Error e -> failed := (t, e) :: !failed
           | Ok v -> (
-            let record blob = recorded := ((t, v), (spec.key t, blob)) :: !recorded in
+            let item blob = ((t, v), (spec.key t, blob)) in
             match spec.entry v with
             | Skip -> ()
-            | Mark -> record None
-            | Blob b -> record (Some b)))
+            | Mark -> recorded := item None :: !recorded
+            | Blob b -> recorded := item (Some b) :: !recorded))
         chunk
         (Supervisor.run sup ~label:spec.label ~key:spec.id spec.task chunk);
       let done_ = done_ + List.length chunk in

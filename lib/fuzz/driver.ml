@@ -201,7 +201,8 @@ let topo_campaign ~sup ?(mutant = Scenario.No_mutant) ?checkpoint
     trial_campaign ~sup ?checkpoint ~resume ~kind:"topo" ~seed ~mutant
       ~params:
         [
-          ("domains", string_of_int max_domains); ("cores", string_of_int max_cores);
+          ("domains", string_of_int max_domains);
+          ("cores", string_of_int max_cores);
         ]
       ~label:"topo-trial" ~every:checkpoint_every ~trials
       (fun ~fuel i ->

@@ -5,7 +5,6 @@
 
 module Fuel = Tpro_engine.Supervisor.Fuel
 module Scenario = Tpro_fuzz.Scenario
-module Topology = Tpro_fuzz.Topology
 module Driver = Tpro_fuzz.Driver
 
 type kind =
