@@ -191,20 +191,16 @@ let bench_parallel () =
     time_wall (fun () ->
         Supervisor.with_supervisor ~domains:1 (sweep_tables ~seeds))
   in
-  let pool_stats sup =
+  (* (steals, executed, injected); a sequential supervisor has no pool *)
+  let pool_counts sup =
     match Supervisor.pool sup with
-    | Some p -> Tpro_engine.Pool.stats p
-    | None ->
-      {
-        Tpro_engine.Pool.pool_size = 1;
-        spawned_domains = 0;
-        steals = 0;
-        tasks_executed = 0;
-        tasks_injected = 0;
-        minor_heap_words = None;
-      }
+    | Some p ->
+      let s = Tpro_engine.Pool.stats p in
+      Tpro_engine.Pool.(s.steals, s.tasks_executed, s.tasks_injected)
+    | None -> (0, 0, 0)
   in
-  let tables_par, par_seconds, per_table, stats, chunk_estimates =
+  let tables_par, par_seconds, per_table, (steals, executed, injected),
+      chunk_estimates =
     Supervisor.with_supervisor (fun sup ->
         let pool = Supervisor.pool sup in
         let tables, dt = time_wall (fun () -> sweep_tables ~seeds sup) in
@@ -222,7 +218,7 @@ let bench_parallel () =
         ( tables,
           dt,
           per_table,
-          pool_stats sup,
+          pool_counts sup,
           match pool with
           | Some p ->
             Tpro_engine.Cost_model.snapshot (Tpro_engine.Pool.cost_model p)
@@ -231,17 +227,17 @@ let bench_parallel () =
   let curve =
     List.map
       (fun j ->
-        let tabs, dt, st =
+        let tabs, dt, (steals, executed, _) =
           Supervisor.with_supervisor ~domains:j (fun sup ->
               let tabs, dt = time_wall (fun () -> sweep_tables ~seeds sup) in
-              (tabs, dt, pool_stats sup))
+              (tabs, dt, pool_counts sup))
         in
         {
           cp_j = j;
           cp_seconds = dt;
           cp_speedup = seq_seconds /. dt;
-          cp_steals = st.Tpro_engine.Pool.steals;
-          cp_executed = st.Tpro_engine.Pool.tasks_executed;
+          cp_steals = steals;
+          cp_executed = executed;
           cp_identical = tabs = tables_seq;
         })
       [ 1; 2; 4 ]
@@ -260,9 +256,9 @@ let bench_parallel () =
     per_table_seq = List.map (fun (id, s, _) -> (id, s)) per_table;
     per_table_par = List.map (fun (id, _, p) -> (id, p)) per_table;
     curve;
-    steals = stats.Tpro_engine.Pool.steals;
-    executed = stats.Tpro_engine.Pool.tasks_executed;
-    injected = stats.Tpro_engine.Pool.tasks_injected;
+    steals;
+    executed;
+    injected;
     chunk_estimates;
   }
 

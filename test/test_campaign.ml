@@ -334,6 +334,28 @@ let test_resume_policy k () =
     (fun (_, row) -> with_tmps 1 (fun paths -> row (List.hd paths)))
     (policy_rows k)
 
+(* Items naming none of this run's tasks are dropped on resume: a sweep
+   resumed with another selection reuses the tables it shares, computes
+   the rest, and its next snapshot no longer carries the others. *)
+let test_resume_keeps_own_tasks () =
+  with_tmps 1 (fun paths ->
+      let path = List.hd paths in
+      let sweep ~resume only =
+        Supervisor.with_supervisor ~domains:1 (fun sup ->
+            Time_protection.Experiments.run_supervised ~seeds:[ 0 ] ~sup
+              ~checkpoint:path ~resume ~only ())
+      in
+      ignore (sweep ~resume:false [ "e10"; "e16" ]);
+      let sw = sweep ~resume:true [ "e10"; "e11" ] in
+      Alcotest.(check int) "the shared table is reused" 1
+        sw.Time_protection.Experiments.sweep_resumed;
+      let text = read_file path in
+      Alcotest.(check (list bool)) "snapshot holds e10 and e11, not e16"
+        [ true; true; false ]
+        (List.map
+           (fun id -> mentions ("\ntable " ^ id ^ " ") text)
+           [ "e10"; "e11"; "e16" ]))
+
 let suite =
   List.concat_map
     (fun f ->
@@ -353,4 +375,6 @@ let suite =
         (test_resume_policy prove_kind);
       Alcotest.test_case "resume policy: exp" `Quick
         (test_resume_policy exp_kind);
+      Alcotest.test_case "resume drops items of other tasks" `Quick
+        test_resume_keeps_own_tasks;
     ]
